@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-ci bench-report telemetry-smoke cluster-smoke fuzz-smoke lint lint-self ci
+.PHONY: build test vet race chaos bench bench-ci bench-report telemetry-smoke cluster-smoke fuzz-smoke lint lint-self ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ vet:
 # pre-merge gate — ci already covers vet, so race does not repeat it.
 race:
 	$(GO) test -race ./...
+
+# Rerun the fault-injection tests — the router's chaos tests and the
+# daemon's (daemon/chaos_test.go) — 20 times each, so a test that fails
+# one run in N fails in the change that makes it flaky.
+CHAOS_TESTS = Chaos|ServeConnExitsOnCancel|ServeShutdownDrains|RequestTimeoutCancels|OverloadSheds|MidFrameDisconnect
+chaos:
+	$(GO) test -count=20 -run '$(CHAOS_TESTS)' ./internal/cluster ./internal/daemon
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -123,11 +130,15 @@ cluster-smoke:
 	rm -rf $$sd0 $$sd1 $$sd2; \
 	echo "cluster-smoke: ok"
 
-# Short fuzz run over the protocol frame reader: proves Read never
-# panics on adversarial bytes and accepted frames round-trip. The corpus
-# grows under $GOCACHE/fuzz across runs.
+# Short fuzz runs over the protocol codec, each against the
+# encoding/json codec it replaced: FuzzRead proves Read never panics,
+# agrees with the old reader and round-trips what it accepts;
+# FuzzDecodeCapture proves the capture decoder accepts, rejects and
+# decodes exactly as encoding/json does. The corpora grow under
+# $GOCACHE/fuzz across runs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/proto
+	$(GO) test -run '^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/proto
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeCapture$$' -fuzztime=10s ./internal/proto
 
 # Architectural-invariant gate: the project's own analyzer suite
 # (internal/analysis; rule table in README.md, invariants in DESIGN.md)
@@ -149,4 +160,4 @@ lint:
 lint-self:
 	$(GO) run ./cmd/echoimage-lint ./internal/analysis/... ./cmd/echoimage-lint
 
-ci: vet lint lint-self test bench-ci fuzz-smoke
+ci: vet lint lint-self test chaos bench-ci fuzz-smoke

@@ -8,6 +8,8 @@
 package echoimage_test
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -21,6 +23,7 @@ import (
 	"echoimage/internal/dsp"
 	"echoimage/internal/experiments"
 	"echoimage/internal/features"
+	"echoimage/internal/proto"
 	"echoimage/internal/sim"
 	"echoimage/internal/svm"
 )
@@ -589,5 +592,65 @@ func BenchmarkBandpassFiltFilt(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = f.FiltFilt(x)
+	}
+}
+
+// ---- Wire codec benchmarks ------------------------------------------
+
+// benchCaptureFrame frames a 4-beep authenticate request — beeps, noise
+// recording and reference, ≈4.7 MB — the way a client sends it.
+func benchCaptureFrame(b *testing.B) []byte {
+	cp, noiseOnly, err := echoimage.Simulate(echoimage.SimulateSpec{
+		UserID: 3, DistanceM: 0.7, Beeps: 4, Session: 4, Seed: 11,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := proto.NewEnvelope(proto.TypeAuthRequest, "bench-1", proto.AuthRequest{Capture: proto.CaptureWire{
+		Beeps: cp.Beeps, SampleRate: cp.SampleRate, NoiseOnly: noiseOnly, Reference: cp.Reference,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env.User = 3
+	var buf bytes.Buffer
+	if err := proto.WriteEnvelope(&buf, env); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkWireDecodeCapture measures a daemon's codec cost for one
+// 4-beep capture frame: proto.Read, then DecodeBody into an AuthRequest.
+func BenchmarkWireDecodeCapture(b *testing.B) {
+	raw := benchCaptureFrame(b)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env, err := proto.Read(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var req proto.AuthRequest
+		if err := proto.DecodeBody(env, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouterForwardCapture measures the router's codec cost per hop
+// for the same frame: proto.Read, then WriteEnvelope on to the shard.
+func BenchmarkRouterForwardCapture(b *testing.B) {
+	raw := benchCaptureFrame(b)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env, err := proto.Read(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := proto.WriteEnvelope(io.Discard, env); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -28,7 +28,7 @@ type fakeShard struct {
 	// envelope return drops the connection (simulating a crash mid
 	// request). Guarded by mu so tests may re-script a live shard.
 	handle func(env *proto.Envelope) *proto.Envelope
-	users  []int
+	seen   []seenRequest
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
@@ -103,12 +103,30 @@ func (f *fakeShard) dropConns() {
 	}
 }
 
+// seenRequest records one request a fake shard served.
+type seenRequest struct {
+	typ  proto.MsgType
+	user int
+}
+
 // seenUsers returns the routing hints of every request this shard
 // served, in arrival order.
-func (f *fakeShard) seenUsers() []int {
+func (f *fakeShard) seenUsers() []int { return f.seenUsersOf("") }
+
+// seenUsersOf returns the routing hints of the requests of one type this
+// shard served, in arrival order; the empty type means every type. A
+// drain's handoff scans reach the draining shard as status requests, so
+// a test asking whether it took a new capture counts only captures.
+func (f *fakeShard) seenUsersOf(typ proto.MsgType) []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]int(nil), f.users...)
+	var users []int
+	for _, r := range f.seen {
+		if typ == "" || r.typ == typ {
+			users = append(users, r.user)
+		}
+	}
+	return users
 }
 
 func (f *fakeShard) serve() {
@@ -148,7 +166,7 @@ func (f *fakeShard) serve() {
 					return
 				}
 				f.mu.Lock()
-				f.users = append(f.users, env.User)
+				f.seen = append(f.seen, seenRequest{typ: env.Type, user: env.User})
 				handle := f.handle
 				f.mu.Unlock()
 				resp := handle(env)

@@ -8,6 +8,14 @@
 // plus retrain and model_info message types. A missing version field marks
 // a v1 client; v1 semantics — synchronous retrain on enroll, no echo —
 // are preserved by the daemon.
+//
+// Framing does not check bodies. Read decodes the envelope's small header
+// and keeps the body as the bytes the sender wrote; WriteEnvelope writes
+// a body verbatim. A body is checked when it is decoded: DecodeBody
+// rejects exactly what encoding/json rejects, so a malformed body is a
+// bad request answered in-band, and a router forwards a capture without
+// parsing it. Capture-carrying bodies (AuthRequest, EnrollRequest) decode
+// in one pass without reflection; every other body uses encoding/json.
 package proto
 
 import (
@@ -19,8 +27,11 @@ import (
 )
 
 // MaxMessageBytes bounds a single message to keep a misbehaving peer from
-// exhausting memory. Captures dominate message size: 20 beeps × 6 channels
-// × 2640 samples × 8 bytes ≈ 2.5 MiB as JSON numbers.
+// exhausting memory. Captures dominate message size, and a sample costs
+// ≈21 bytes as a JSON number: a 4-beep capture (4 beeps × 6 channels ×
+// 2640 samples, plus a 6 × 24000 noise recording and a 6 × 2640
+// reference) is 223k samples, 4.7 MB; 20 beeps with the same recordings
+// come to ≈10 MB.
 const MaxMessageBytes = 64 << 20
 
 // Version is the protocol version this package speaks. Envelopes carry
@@ -271,22 +282,38 @@ type ErrorResponse struct {
 }
 
 // WriteEnvelope frames and sends one message: a 4-byte big-endian length
-// followed by the JSON envelope.
+// followed by the JSON envelope. The header is marshalled and the body
+// written verbatim after it, so a body that json.Marshal produced goes
+// out byte for byte as json.Marshal(env) would write it, and a body Read
+// received is forwarded unchanged. The body must be valid JSON; this
+// package does not check it on the way out.
 func WriteEnvelope(w io.Writer, env *Envelope) error {
-	payload, err := json.Marshal(env)
+	header := *env
+	header.Body = nil
+	head, err := json.Marshal(&header)
 	if err != nil {
 		return fmt.Errorf("proto: marshal envelope: %w", err)
 	}
-	if len(payload) > MaxMessageBytes {
-		return fmt.Errorf("proto: message of %d bytes exceeds limit", len(payload))
+	size := len(head)
+	if len(env.Body) > 0 {
+		head = append(head[:len(head)-1], `,"body":`...)
+		size = len(head) + len(env.Body) + 1
 	}
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(len(payload)))
-	if _, err := w.Write(prefix[:]); err != nil {
-		return fmt.Errorf("proto: write length prefix: %w", err)
+	if size > MaxMessageBytes {
+		return fmt.Errorf("proto: message of %d bytes exceeds limit", size)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("proto: write payload: %w", err)
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(head)), uint32(size))
+	if _, err := w.Write(append(frame, head...)); err != nil {
+		return fmt.Errorf("proto: write header: %w", err)
+	}
+	if len(env.Body) == 0 {
+		return nil
+	}
+	if _, err := w.Write(env.Body); err != nil {
+		return fmt.Errorf("proto: write body: %w", err)
+	}
+	if _, err := w.Write([]byte{'}'}); err != nil {
+		return fmt.Errorf("proto: write body: %w", err)
 	}
 	return nil
 }
@@ -304,7 +331,14 @@ func Write(w io.Writer, msgType MsgType, body any) error {
 	return WriteEnvelope(w, &Envelope{Type: msgType, Body: raw})
 }
 
-// Read receives one framed message.
+// Read receives one framed message. The header fields are decoded by
+// encoding/json from the payload with the body's value replaced by null,
+// so they mean exactly what they always have; Body aliases the body's
+// bytes in the payload, unparsed. A payload the body scan cannot follow
+// is decoded whole by encoding/json instead, which refuses it if it is
+// not valid JSON. Read therefore accepts every frame encoding/json
+// accepts, and beyond those only frames whose body is not valid JSON,
+// which DecodeBody rejects.
 func Read(r io.Reader) (*Envelope, error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
@@ -322,18 +356,37 @@ func Read(r io.Reader) (*Envelope, error) {
 		return nil, fmt.Errorf("proto: read payload: %w", err)
 	}
 	var env Envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
+	start, end, err := bodySpan(payload)
+	if err != nil || start < 0 {
+		if err := json.Unmarshal(payload, &env); err != nil {
+			return nil, fmt.Errorf("proto: unmarshal envelope: %w", err)
+		}
+		return &env, nil
+	}
+	head := make([]byte, 0, len(payload)-(end-start)+len("null"))
+	head = append(append(append(head, payload[:start]...), "null"...), payload[end:]...)
+	if err := json.Unmarshal(head, &env); err != nil {
 		return nil, fmt.Errorf("proto: unmarshal envelope: %w", err)
 	}
+	env.Body = payload[start:end:end]
 	return &env, nil
 }
 
-// DecodeBody unmarshals an envelope body into the given value.
+// DecodeBody unmarshals an envelope body into the given value, accepting
+// and rejecting what json.Unmarshal does. AuthRequest and EnrollRequest
+// bodies are decoded in one pass by a hand-written decoder that stores
+// the same values json.Unmarshal would, floats bit for bit.
 func DecodeBody(env *Envelope, into any) error {
 	if len(env.Body) == 0 {
 		return fmt.Errorf("proto: %s message has no body", env.Type)
 	}
-	if err := json.Unmarshal(env.Body, into); err != nil {
+	var err error
+	if field := captureFields(into); field != nil {
+		err = decodeObjectBody(env.Body, field)
+	} else {
+		err = json.Unmarshal(env.Body, into)
+	}
+	if err != nil {
 		return fmt.Errorf("proto: unmarshal %s body: %w", env.Type, err)
 	}
 	return nil
